@@ -4,10 +4,10 @@
 GO ?= go
 
 .PHONY: check fmt vet doccheck build test race race-runner check-store \
-	check-service check-runtime check-conform smoke bench bench-snapshot \
+	check-runtime check-conform smoke bench bench-snapshot \
 	bench-baseline bench-metrics bench-hw check-invariants fuzz-smoke
 
-check: fmt vet doccheck build test race-runner check-store check-service check-invariants check-runtime check-conform fuzz-smoke smoke
+check: fmt vet doccheck build test race-runner check-store check-invariants check-runtime check-conform fuzz-smoke smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -21,8 +21,8 @@ vet:
 # Documentation lint (tools/doccheck): package docs everywhere, doc
 # comments on every exported identifier in internal packages.
 doccheck:
-	$(GO) run ./tools/doccheck ./api ./runtime/... ./internal/... ./cmd/... ./examples/... .
-	$(GO) run ./tools/doccheck -exported ./api ./runtime/... ./internal/...
+	$(GO) run ./tools/doccheck ./runtime/... ./internal/... ./cmd/... ./examples/... .
+	$(GO) run ./tools/doccheck -exported ./runtime/... ./internal/...
 
 build:
 	$(GO) build ./...
@@ -45,27 +45,12 @@ race-runner:
 
 # The persistence layer under the race detector: the content-addressed
 # store's crash-safety/GC suite, the runner's read-through/write-behind
-# tier contract, the warm-vs-cold byte-equivalence tests and the
-# asymsimd submit->poll->result end-to-end test. Every test runs in its
-# own t.TempDir, so no state leaks between runs.
+# tier contract and the warm-vs-cold byte-equivalence tests. Every test
+# runs in its own t.TempDir, so no state leaks between runs.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore' .
-	$(GO) test -race -count=1 -run 'TestSubmit' ./cmd/asymsim/
-
-# The hardened job service under the race detector: the service chaos
-# harness (daemon killed and restarted mid-batch over fault-injected
-# store/journal writes, reached through a fault-injecting HTTP
-# transport, with byte-identical recovery asserted), the deadline/hang/
-# panic containment and drain/crash-recovery suites, and the journal
-# and service fault-injector unit suites (see ROBUSTNESS.md "Service
-# hardening").
-check-service:
-	$(GO) test -race -count=1 -run 'TestServiceChaos|TestDeadline|TestPerJob|TestOverload|TestDrain' ./cmd/asymsim/
-	$(GO) test -race -count=1 ./internal/journal/
-	$(GO) test -race -count=1 -run 'WriteFaults|RoundTripper' ./internal/faults/
-	$(GO) test -race -count=1 -run 'TestPanicContainment' ./internal/experiments/runner/
 
 # The real-hardware fence runtime under the race detector: the
 # asymruntime mode/registration suite, the exactly-once deque stress

@@ -10,11 +10,10 @@
 //	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
 //	asymsim bench [flags]                  machine-readable perf snapshot
 //	asymsim serve [flags] <experiment>     run with a live observability server
-//	asymsim serve [flags]                  asymsimd: /v1 job-service daemon
-//	asymsim submit [flags] <group>:<app>   submit jobs to asymsimd and wait
 //	asymsim fuzz [flags]                   litmus-fuzz under invariant checkers
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
 //	asymsim hwbench [flags]                asymmetric fences on real silicon
+//	asymsim benchkernel [flags]            cycle-kernel perf baseline
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
 // headline, or all. Each prints the same rows/series the paper reports
@@ -79,13 +78,7 @@
 // The experiment and serve paths accept -store dir, the persistent
 // content-addressed measurement store: warm configurations load from
 // disk instead of re-simulating, across process restarts, with
-// byte-identical tables. Without an experiment argument, serve runs as
-// asymsimd — a long-lived daemon mounting the versioned /v1 job
-// service (wire schema in package api) — and the submit subcommand is
-// its client:
-//
-//	asymsim serve -store /var/cache/asymsim &
-//	asymsim submit cilk:fib ustm:List
+// byte-identical tables.
 package main
 
 import (
@@ -106,93 +99,100 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := mainCmd(ctx, os.Args[1:])
+	stop()
+	os.Exit(code)
+}
 
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+// mainCmd dispatches one asymsim invocation (args excludes the program
+// name) and returns the process exit code.
+func mainCmd(ctx context.Context, args []string) int {
+	if len(args) > 0 {
+		switch args[0] {
 		case "trace":
-			os.Exit(traceCmd(ctx, os.Args[2:]))
+			return traceCmd(ctx, args[1:])
 		case "bench":
-			os.Exit(benchCmd(ctx, os.Args[2:]))
+			return benchCmd(ctx, args[1:])
 		case "benchkernel":
-			os.Exit(benchKernelCmd(ctx, os.Args[2:]))
+			return benchKernelCmd(ctx, args[1:])
 		case "hwbench":
-			os.Exit(hwbenchCmd(ctx, os.Args[2:]))
+			return hwbenchCmd(ctx, args[1:])
 		case "fuzz":
-			os.Exit(fuzzCmd(ctx, os.Args[2:]))
+			return fuzzCmd(ctx, args[1:])
 		case "conform":
-			os.Exit(conformCmd(ctx, os.Args[2:]))
+			return conformCmd(ctx, args[1:])
 		case "serve":
-			os.Exit(serveCmd(ctx, os.Args[2:]))
-		case "submit":
-			os.Exit(submitCmd(ctx, os.Args[2:]))
+			return serveCmd(ctx, args[1:])
 		}
 	}
 
-	cores := flag.Int("cores", 8, "core count (power of two; Table 2 default is 8)")
-	scale := flag.Float64("scale", 1.0, "execution-time run scale (1.0 = full)")
-	horizon := flag.Int64("horizon", 0, "throughput-run length in cycles (0 = default)")
-	jobs := flag.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run simulations sequentially (same as -j 1)")
-	quiet := flag.Bool("q", false, "suppress per-job progress lines on stderr")
-	md := flag.Bool("md", false, "emit markdown tables")
-	list := flag.Bool("list", false, "list experiment ids with descriptions and exit")
-	metricsOut := flag.String("metrics", "", "write the run's metrics snapshot to this file as JSON (\"-\" = stdout)")
-	storeDir := flag.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)")
-	version := flag.Bool("version", false, "print build provenance and exit")
-	flag.Usage = func() {
+	fs := flag.NewFlagSet("asymsim", flag.ExitOnError)
+	cores := fs.Int("cores", 8, "core count (power of two; Table 2 default is 8)")
+	scale := fs.Float64("scale", 1.0, "execution-time run scale (1.0 = full)")
+	horizon := fs.Int64("horizon", 0, "throughput-run length in cycles (0 = default)")
+	jobs := fs.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+	seq := fs.Bool("seq", false, "run simulations sequentially (same as -j 1)")
+	quiet := fs.Bool("q", false, "suppress per-job progress lines on stderr")
+	md := fs.Bool("md", false, "emit markdown tables")
+	list := fs.Bool("list", false, "list experiment ids with descriptions and exit")
+	metricsOut := fs.String("metrics", "", "write the run's metrics snapshot to this file as JSON (\"-\" = stdout)")
+	storeDir := fs.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)")
+	version := fs.Bool("version", false, "print build provenance and exit")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: asymsim [flags] <experiment>\n"+
 			"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
 			"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
 			"       asymsim bench [flags]                 (asymsim bench -h for flags)\n"+
+			"       asymsim benchkernel [flags]           (asymsim benchkernel -h for flags)\n"+
+			"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
 			"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
 			"       asymsim conform [flags]               (asymsim conform -h for flags)\n"+
 			"       asymsim hwbench [flags]               (asymsim hwbench -h for flags)\n\n"+
 			"experiments: %v\n\nflags:\n",
 			asymfence.ExperimentIDs)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	fs.Parse(args)
 	if *version {
 		fmt.Println("asymsim", buildinfo.Get())
-		return
+		return 0
 	}
 	// Reject a nonsensical machine shape before any experiment starts
 	// (same typed validation the simulator applies on Run).
 	if err := (sim.Config{NCores: *cores}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(2)
+		return 2
 	}
 	if *list {
 		for _, e := range asymfence.Experiments() {
 			fmt.Printf("  %-9s %s\n", e.ID, e.Description)
 		}
-		return
+		return 0
 	}
 	workers := *jobs
 	if *seq {
 		workers = 1
 	}
 	reg := newCLIMetrics(*metricsOut)
-	if maybeRun(ctx, flag.Args(), *cores, *scale, *horizon, workers, *quiet, reg) {
+	if maybeRun(ctx, fs.Args(), *cores, *scale, *horizon, workers, *quiet, reg) {
 		if err := writeMetrics(reg, *metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "asymsim:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
-	id := flag.Arg(0)
+	id := fs.Arg(0)
 	// Resolve the id up front so a typo fails before any table of a
 	// multi-experiment run has been printed.
 	exp, ok := asymfence.LookupExperiment(id)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "asymsim: unknown experiment %q (valid: %v; see -list)\n",
 			id, asymfence.ExperimentIDs)
-		os.Exit(2)
+		return 2
 	}
 	var progress io.Writer
 	if !*quiet {
@@ -210,9 +210,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim:", err)
 		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
+			return 130
 		}
-		os.Exit(1)
+		return 1
 	}
 	for _, t := range tables {
 		if *md {
@@ -223,8 +223,9 @@ func main() {
 	}
 	if err := writeMetrics(reg, *metricsOut); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Fprintf(os.Stderr, "asymsim: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
 		id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
+	return 0
 }

@@ -11,29 +11,17 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"asymfence"
 	"asymfence/internal/buildinfo"
-	"asymfence/internal/journal"
 )
 
-// health backs the /healthz and /readyz probes: liveness is implicit
-// (the handler answering at all), readiness flips off when the daemon
-// starts draining so load balancers stop routing new submissions to a
-// process that is about to exit.
-type health struct{ ready atomic.Bool }
-
-// newHealth returns a health that starts ready.
-func newHealth() *health {
-	h := &health{}
-	h.ready.Store(true)
-	return h
-}
+// shutdownGrace bounds how long the HTTP server may take to finish
+// in-flight requests (a running pprof profile, say) once the run ends.
+const shutdownGrace = 5 * time.Second
 
 // progressRing is a concurrency-safe io.Writer that keeps the most
 // recent complete progress lines for the /progress endpoint. Partial
@@ -85,25 +73,10 @@ func (r *progressRing) Snapshot() ([]string, int) {
 
 // serveMux builds the observability HTTP handler: /metrics (Prometheus
 // text by default, ?format=json for the JSON snapshot), /debug/pprof/*
-// (the Go profiler), /progress (the live batch progress tail),
-// /healthz + /readyz probes and a root index page. A non-nil jobs
-// server additionally mounts the /v1 job-service endpoints (see the
-// api package).
-func serveMux(reg *asymfence.MetricsRegistry, ring *progressRing, js *jobServer, hs *health) *http.ServeMux {
+// (the Go profiler), /progress (the live batch progress tail) and a
+// root index page.
+func serveMux(reg *asymfence.MetricsRegistry, ring *progressRing) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if hs != nil && !hs.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "json" {
 			w.Header().Set("Content-Type", "application/json")
@@ -121,9 +94,6 @@ func serveMux(reg *asymfence.MetricsRegistry, ring *progressRing, js *jobServer,
 			fmt.Fprintln(w, l)
 		}
 	})
-	if js != nil {
-		js.register(mux)
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -139,28 +109,17 @@ func serveMux(reg *asymfence.MetricsRegistry, ring *progressRing, js *jobServer,
 			"  /metrics              Prometheus text format\n"+
 			"  /metrics?format=json  deterministic JSON snapshot\n"+
 			"  /progress             live batch progress tail\n"+
-			"  /healthz              liveness probe\n"+
-			"  /readyz               readiness probe (503 while draining)\n"+
 			"  /debug/pprof/         Go profiler\n", buildinfo.Get())
-		if js != nil {
-			fmt.Fprint(w, "  POST /v1/jobs         submit a simulation batch (api.SubmitRequest)\n"+
-				"  GET  /v1/jobs/{id}    poll a job set's progress and results\n"+
-				"  GET  /v1/store/stats  persistent-store occupancy and traffic\n")
-		}
 	})
 	return mux
 }
 
-// serveCmd handles `asymsim serve`. With an experiment argument it
-// starts the observability HTTP server, then runs that experiment with
-// the shared metrics registry attached, so /metrics and /debug/pprof
-// can be scraped while the batch executes; the server shuts down when
-// the run completes unless -hold keeps it up until interrupt. With no
-// argument it runs as asymsimd — a long-lived simulation daemon that
-// additionally mounts the /v1 job service (submit batches with
-// `asymsim submit` or POST /v1/jobs) and serves until interrupted.
-// In either mode -store attaches the persistent measurement store, so
-// warm configurations are served from disk across daemon restarts.
+// serveCmd handles `asymsim serve <experiment>`: it starts the
+// observability HTTP server, then runs that experiment with the shared
+// metrics registry attached, so /metrics and /debug/pprof can be
+// scraped while the batch executes. The server shuts down when the run
+// completes unless -hold keeps it up until interrupt. -store attaches
+// the persistent measurement store, exactly as on the experiment path.
 func serveCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("asymsim serve", flag.ExitOnError)
 	listen := fs.String("listen", ":6060", "HTTP listen address")
@@ -170,35 +129,25 @@ func serveCmd(ctx context.Context, args []string) int {
 	jobs := fs.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)")
 	quiet := fs.Bool("q", false, "suppress per-job progress lines on stderr (/progress still updates)")
 	hold := fs.Bool("hold", false, "keep serving after the run completes, until interrupted")
-	storeDir := fs.String("store", "", "persistent measurement store directory (warm configs load from disk; daemon mode also journals job sets under it)")
+	storeDir := fs.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)")
 	metricsOut := fs.String("metrics", "", "also write the final metrics snapshot to this file as JSON (\"-\" = stdout)")
-	drainD := fs.Duration("drain", 5*time.Second, "graceful-shutdown grace: how long to let in-flight jobs and requests finish on interrupt")
-	deadline := fs.Duration("deadline", 10*time.Minute, "default per-job wall-clock deadline (jobs may override with timeout_ms)")
-	maxDeadline := fs.Duration("max-deadline", 2*time.Hour, "cap on per-job timeout_ms overrides (larger requests are rejected)")
-	maxQueue := fs.Int("maxqueue", 4096, "admission bound on outstanding jobs; beyond it submissions get 429")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: asymsim serve [flags] [experiment]\n"+
-			"       e.g. asymsim serve -listen :6060 all    (run one experiment, observable)\n"+
-			"            asymsim serve -store /var/asymsim  (asymsimd: /v1 job service until interrupt)\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "usage: asymsim serve [flags] <experiment>\n"+
+			"       e.g. asymsim serve -listen :6060 all\n\n"+
+			"experiments: %v\n\nflags:\n", asymfence.ExperimentIDs)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
-	if fs.NArg() > 1 {
+	if fs.NArg() != 1 {
 		fs.Usage()
 		return 2
 	}
-	daemon := fs.NArg() == 0
-	var exp asymfence.Experiment
-	id := ""
-	if !daemon {
-		id = fs.Arg(0)
-		var ok bool
-		exp, ok = asymfence.LookupExperiment(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "asymsim serve: unknown experiment %q (valid: %v)\n",
-				id, asymfence.ExperimentIDs)
-			return 2
-		}
+	id := fs.Arg(0)
+	exp, ok := asymfence.LookupExperiment(id)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "asymsim serve: unknown experiment %q (valid: %v)\n",
+			id, asymfence.ExperimentIDs)
+		return 2
 	}
 
 	reg := asymfence.NewMetricsRegistry()
@@ -208,100 +157,50 @@ func serveCmd(ctx context.Context, args []string) int {
 	reg.SetMeta("go", bi.GoVersion)
 	ring := newProgressRing(256)
 
-	var st *asymfence.MeasurementStore
-	if *storeDir != "" {
-		var err error
-		st, err = asymfence.OpenStore(*storeDir, asymfence.StoreOptions{Metrics: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim serve:", err)
-			return 1
-		}
-		defer st.Close()
-	}
-	var js *jobServer
-	if daemon {
-		var jn *journal.Journal
-		if *storeDir != "" {
-			var err error
-			jn, err = journal.Open(filepath.Join(*storeDir, "jobs"), journal.Options{})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "asymsim serve:", err)
-				return 1
-			}
-			if n := jn.Corrupt(); n > 0 {
-				fmt.Fprintf(os.Stderr, "asymsimd: dropped %d corrupt journal record(s); affected sets re-form on resubmission\n", n)
-			}
-		}
-		// The job server runs under its own lifetime, not the interrupt
-		// context: an interrupt triggers the graceful drain below rather
-		// than hard-canceling every running job on the spot.
-		js = newJobServer(context.Background(), jobServerConfig{
-			workers: *jobs, store: st, reg: reg, ring: ring, journal: jn,
-			defaultTimeout: *deadline, maxTimeout: *maxDeadline, maxQueue: *maxQueue,
-		})
-	}
-	hs := newHealth()
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim serve:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: serveMux(reg, ring, js, hs)}
+	srv := &http.Server{Handler: serveMux(reg, ring)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
+	fmt.Fprintf(os.Stderr, "asymsim serve: listening on http://%s (metrics, progress, debug/pprof)\n",
+		hostport(ln.Addr().String()))
 
+	progress := io.Writer(ring)
+	if !*quiet {
+		progress = io.MultiWriter(os.Stderr, ring)
+	}
+	var stats asymfence.RunStats
+	start := time.Now()
+	tables, runErr := exp.Run(ctx, asymfence.Options{
+		RunConfig: asymfence.RunConfig{
+			Jobs: *jobs, Progress: progress, Stats: &stats, Metrics: reg, StoreDir: *storeDir,
+		},
+		Cores: *cores, Scale: *scale, Horizon: *horizon,
+	})
 	exitCode := 0
-	if daemon {
-		fmt.Fprintf(os.Stderr, "asymsimd: listening on http://%s (POST /v1/jobs; metrics, progress, debug/pprof; interrupt to exit)\n",
-			hostport(ln.Addr().String()))
-		<-ctx.Done()
+	if runErr != nil {
+		fmt.Fprintln(os.Stderr, "asymsim serve:", runErr)
+		exitCode = 1
+		if errors.Is(runErr, context.Canceled) {
+			exitCode = 130
+		}
 	} else {
-		fmt.Fprintf(os.Stderr, "asymsim serve: listening on http://%s (metrics, progress, debug/pprof)\n",
-			hostport(ln.Addr().String()))
-
-		progress := io.Writer(ring)
-		if !*quiet {
-			progress = io.MultiWriter(os.Stderr, ring)
+		for _, t := range tables {
+			fmt.Println(t.String())
 		}
-		var stats asymfence.RunStats
-		start := time.Now()
-		tables, runErr := exp.Run(ctx, asymfence.Options{
-			RunConfig: asymfence.RunConfig{
-				Jobs: *jobs, Progress: progress, Stats: &stats, Metrics: reg, Store: st,
-			},
-			Cores: *cores, Scale: *scale, Horizon: *horizon,
-		})
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "asymsim serve:", runErr)
-			exitCode = 1
-			if errors.Is(runErr, context.Canceled) {
-				exitCode = 130
-			}
-		} else {
-			for _, t := range tables {
-				fmt.Println(t.String())
-			}
-			fmt.Fprintf(os.Stderr, "asymsim serve: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
-				id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits,
-				time.Since(start).Round(time.Millisecond))
-		}
-
-		if *hold && exitCode == 0 {
-			fmt.Fprintln(os.Stderr, "asymsim serve: run complete; still serving (interrupt to exit)")
-			<-ctx.Done()
-		}
+		fmt.Fprintf(os.Stderr, "asymsim serve: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
+			id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits,
+			time.Since(start).Round(time.Millisecond))
 	}
-	// Graceful shutdown: flip readiness off (load balancers stop routing
-	// here), drain the job service (refuse new submissions, let in-flight
-	// jobs finish within the grace, journal the rest as interrupted),
-	// then close the HTTP server within the same grace.
-	hs.ready.Store(false)
-	if js != nil {
-		fmt.Fprintf(os.Stderr, "asymsimd: draining (up to %s) ...\n", *drainD)
-		js.drain(*drainD)
+
+	if *hold && exitCode == 0 {
+		fmt.Fprintln(os.Stderr, "asymsim serve: run complete; still serving (interrupt to exit)")
+		<-ctx.Done()
 	}
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainD)
+	shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	srv.Shutdown(shutCtx)
 	<-serveErr

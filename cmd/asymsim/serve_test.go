@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -40,8 +42,7 @@ func TestServeMuxEndpoints(t *testing.T) {
 	ring := newProgressRing(8)
 	io.WriteString(ring, "job 1/2 done\n")
 
-	hs := newHealth()
-	srv := httptest.NewServer(serveMux(reg, ring, nil, hs))
+	srv := httptest.NewServer(serveMux(reg, ring))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {
@@ -95,22 +96,24 @@ func TestServeMuxEndpoints(t *testing.T) {
 		t.Fatalf("unknown path: code %d, want 404", code)
 	}
 
-	// Probes: always live; ready until draining flips readiness off.
-	code, _, body = get("/healthz")
-	if code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz: code %d, body %q", code, body)
+}
+
+// TestServeRequiresExperiment pins the narrowed CLI surface: serve with
+// no experiment prints usage and exits 2 before it listens (the address
+// below is already taken, so a listen attempt would exit 1 instead),
+// and submit is no subcommand, so it reads as an unknown experiment.
+func TestServeRequiresExperiment(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, _, body = get("/readyz")
-	if code != 200 || !strings.Contains(body, "ready") {
-		t.Fatalf("/readyz: code %d, body %q", code, body)
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if code := serveCmd(ctx, []string{"-listen", ln.Addr().String()}); code != 2 {
+		t.Fatalf("serve with no experiment exited %d, want 2", code)
 	}
-	hs.ready.Store(false)
-	code, _, body = get("/readyz")
-	if code != 503 || !strings.Contains(body, "draining") {
-		t.Fatalf("/readyz while draining: code %d, body %q, want 503 draining", code, body)
-	}
-	code, _, _ = get("/healthz")
-	if code != 200 {
-		t.Fatalf("/healthz while draining: code %d, want 200 (still live)", code)
+	if code := mainCmd(ctx, []string{"submit"}); code != 2 {
+		t.Fatalf("asymsim submit exited %d, want 2 (unknown experiment)", code)
 	}
 }

@@ -21,12 +21,6 @@ type MeasurementStoreOptions struct {
 	// "store" scope (hits, misses, writes, evictions, corrupt,
 	// records, bytes). Nil disables them; Stats is always available.
 	Metrics *metrics.Registry
-	// WriteFile, when non-nil, replaces the store's atomic write
-	// primitive (store.WriteFileAtomic) — the fault-injection seam the
-	// service chaos harness wraps with deterministic write errors, torn
-	// files and ENOSPC (internal/faults.WriteFaults). Production opens
-	// leave it nil.
-	WriteFile func(path string, data []byte) error
 }
 
 // MeasurementStore is the persistent measurement tier: a content-
@@ -48,10 +42,9 @@ type MeasurementStore struct {
 // flush write-behind records and persist the LRU index.
 func OpenMeasurementStore(dir string, o MeasurementStoreOptions) (*MeasurementStore, error) {
 	s, err := store.Open(dir, store.Options{
-		Kind:      MeasurementKind,
-		MaxBytes:  o.MaxBytes,
-		Metrics:   o.Metrics.Scope("store"),
-		WriteFile: o.WriteFile,
+		Kind:     MeasurementKind,
+		MaxBytes: o.MaxBytes,
+		Metrics:  o.Metrics.Scope("store"),
 	})
 	if err != nil {
 		return nil, err

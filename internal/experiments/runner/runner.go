@@ -224,7 +224,7 @@ type Session[V any] struct {
 // PanicError is a panicking simulation converted into an ordinary
 // per-job failure: the worker that would have died recovers the panic
 // and fails only that job, so one bad simulation cannot take down the
-// whole process (in particular, a long-lived asymsimd). The recovered
+// whole process (in particular, a live `asymsim serve`). The recovered
 // value and a stack excerpt travel with the error.
 type PanicError struct {
 	// Spec is the job that panicked.

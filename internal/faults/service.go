@@ -2,31 +2,25 @@ package faults
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // This file extends the seed-deterministic fault discipline from the
-// simulator's timing faults to the service layer: write faults for the
-// store/journal persistence primitive and transport faults for the /v1
-// HTTP client. Unlike the cycle-loop injector above, these are drawn
-// from concurrent goroutines, so their draw counters are atomic; a
-// fixed seed still produces a fixed fault schedule *per draw index*,
-// which is what the chaos harness needs (the set of faults injected is
+// simulator's timing faults to the store's persistence primitive:
+// write errors, torn files and ENOSPC. Unlike the cycle-loop injector
+// above, these are drawn from concurrent goroutines, so their draw
+// counter is atomic; a fixed seed still produces a fixed fault
+// schedule *per draw index* (the set of faults injected is
 // reproducible even though goroutine interleaving assigns them to
-// operations in varying order).
+// writes in varying order).
 
-// Service-fault kind salts, continuing the simulator kinds above.
+// Write-fault kind salts, continuing the simulator kinds above.
 const (
 	kindFSWrite uint64 = 0xd6e8feb86659fd93
 	kindFSTorn  uint64 = 0xa5a5a5a5deadbeef
 	kindFSNoSpc uint64 = 0xc2b2ae3d27d4eb4f
-	kindHTTPDrp uint64 = 0x165667b19e3779f9
-	kindHTTPDly uint64 = 0x27d4eb2f165667c5
-	kindHTTPErr uint64 = 0x9e3779b185ebca87
 )
 
 // FSConfig selects write-fault rates for a WriteFaults injector. Each
@@ -46,15 +40,15 @@ type FSConfig struct {
 	ENOSPCProb uint64
 }
 
-// DefaultFS returns the write-fault mix the chaos harness uses: 1 in 4
+// DefaultFS returns the write-fault mix the store's fault test uses: 1 in 4
 // writes torn, 1 in 5 erroring, 1 in 7 reporting a full disk.
 func DefaultFS() FSConfig {
 	return FSConfig{WriteErrProb: 5, TornProb: 4, ENOSPCProb: 7}
 }
 
 // WriteFaults is a deterministic fault-injecting wrapper around a
-// store-style atomic write function (store.WriteFileAtomic or
-// journal's). Safe for concurrent use. A nil *WriteFaults injects
+// store-style atomic write function (store.WriteFileAtomic). Safe for
+// concurrent use. A nil *WriteFaults injects
 // nothing.
 type WriteFaults struct {
 	cfg  FSConfig
@@ -109,82 +103,4 @@ func (w *WriteFaults) Wrap(next func(path string, data []byte) error) func(path 
 		}
 		return next(path, data)
 	}
-}
-
-// HTTPConfig selects transport-fault rates for a RoundTripper. Each
-// probability field P means "1 in P requests"; zero disables that kind.
-type HTTPConfig struct {
-	// DropProb is the 1-in-N probability that a request is dropped with
-	// a connection error (the server never sees it, or the response is
-	// lost — the client cannot tell which, exactly like a real network).
-	DropProb uint64
-	// DelayProb is the 1-in-N probability that a request is delayed by
-	// up to DelayMax before being sent.
-	DelayProb uint64
-	// DelayMax is the maximum injected delay.
-	DelayMax time.Duration
-	// Err5xxProb is the 1-in-N probability that the request is answered
-	// with a synthesized 503 carrying a Retry-After header, without
-	// reaching the server.
-	Err5xxProb uint64
-}
-
-// DefaultHTTP returns the transport-fault mix the chaos harness uses:
-// 1 in 4 requests dropped, 1 in 5 delayed up to 20 ms, 1 in 6 answered
-// with an injected 503.
-func DefaultHTTP() HTTPConfig {
-	return HTTPConfig{DropProb: 4, DelayProb: 5, DelayMax: 20 * time.Millisecond, Err5xxProb: 6}
-}
-
-// RoundTripper is a deterministic fault-injecting http.RoundTripper:
-// it drops, delays, or fails requests per HTTPConfig before delegating
-// to the wrapped transport. Safe for concurrent use.
-type RoundTripper struct {
-	next  http.RoundTripper
-	cfg   HTTPConfig
-	seed  uint64
-	ctr   atomic.Uint64
-	drops atomic.Uint64
-}
-
-// NewRoundTripper wraps next (nil: http.DefaultTransport) with the
-// given seed and fault mix.
-func NewRoundTripper(next http.RoundTripper, seed uint64, cfg HTTPConfig) *RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return &RoundTripper{next: next, cfg: cfg, seed: seed}
-}
-
-// Drops returns how many requests the injector has dropped or failed so
-// far (a chaos test asserts the schedule actually fired).
-func (rt *RoundTripper) Drops() uint64 { return rt.drops.Load() }
-
-// RoundTrip implements http.RoundTripper.
-func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	ctr := rt.ctr.Add(1)
-	if fires, d := drawAtomic(rt.seed, kindHTTPDly, ctr, rt.cfg.DelayProb, int64(rt.cfg.DelayMax)); fires {
-		select {
-		case <-time.After(time.Duration(d)):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
-	if fires, _ := drawAtomic(rt.seed, kindHTTPDrp, ctr, rt.cfg.DropProb, 0); fires {
-		rt.drops.Add(1)
-		return nil, fmt.Errorf("faults: injected connection drop (%s %s)", req.Method, req.URL.Path)
-	}
-	if fires, _ := drawAtomic(rt.seed, kindHTTPErr, ctr, rt.cfg.Err5xxProb, 0); fires {
-		rt.drops.Add(1)
-		resp := &http.Response{
-			StatusCode: http.StatusServiceUnavailable,
-			Status:     "503 Service Unavailable (injected)",
-			Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header:  http.Header{"Retry-After": []string{"0"}},
-			Body:    http.NoBody,
-			Request: req,
-		}
-		return resp, nil
-	}
-	return rt.next.RoundTrip(req)
 }

@@ -322,8 +322,8 @@ func recordSize(t *testing.T, dir string) int64 {
 	return size
 }
 
-// TestWriteFaultsDegradeToMisses drives the store through the chaos
-// harness's write-fault seam: injected write errors, ENOSPC and torn
+// TestWriteFaultsDegradeToMisses drives the store through its
+// write-fault seam: injected write errors, ENOSPC and torn
 // files must only ever cost re-simulation (misses) — a Get either
 // returns the exact bytes that were Put or misses, never wrong data,
 // on both the live handle and a fresh open.
