@@ -4,10 +4,10 @@
 GO ?= go
 
 .PHONY: check fmt vet doccheck build test race race-runner check-store \
-	check-runtime check-conform smoke bench bench-snapshot \
-	bench-baseline bench-metrics bench-hw check-invariants fuzz-smoke
+	check-runtime check-conform check-perfbench smoke bench bench-hw \
+	check-invariants fuzz-smoke
 
-check: fmt vet doccheck build test race-runner check-store check-invariants check-runtime check-conform fuzz-smoke smoke
+check: fmt vet doccheck build test race-runner check-store check-invariants check-runtime check-conform check-perfbench fuzz-smoke smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -78,6 +78,13 @@ check-conform:
 	$(GO) test -race -count=1 -run 'TestConform|TestMinimize' . ./cmd/asymsim/
 	$(GO) run ./cmd/asymsim conform -quick -q
 
+# The repository benchmark (perfbench/, BENCHMARK.json) is its own Go
+# module, so the root ./... never compiles it: vet and test it here so
+# a root API change that breaks the benchmark fails the gate.
+check-perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test -short -count=1 ./...
+
 # Quick end-to-end sanity: the headline experiment at reduced scale on
 # a parallel worker pool, the real-hardware bench driver with the
 # simulator cross-validation table at smoke scale, plus the quick
@@ -110,27 +117,8 @@ fuzz-smoke:
 
 # Short per-subsystem microbenchmarks (NoC, cache, directory, cycle
 # kernel). Quick enough for the inner loop; see PERFORMANCE.md for how
-# to read and extend them.
+# to read and extend them. The end-to-end speed benchmark is
+# `bash perfbench/run.sh` (PERFORMANCE.md §"Numbers").
 bench:
 	$(GO) test -run XX -bench . -benchtime 200ms \
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/
-
-# Perf snapshot of every (workload, design) pair -> BENCH_<date>.json.
-bench-snapshot:
-	$(GO) run ./cmd/asymsim bench
-
-# Checked-in cycle-kernel baseline (BENCH_PR4.json): cycles/sec, ns/op
-# and allocs per fence design at 8 and 64 cores, plus the sequential
-# `-q -seq all` wall clock. Set BEFORE=<old.json> to record a speedup
-# comparison against a previous snapshot.
-bench-baseline:
-	$(GO) run ./cmd/asymsim benchkernel -out BENCH_PR4.json \
-		$(if $(BEFORE),-before $(BEFORE))
-
-# Checked-in metrics-overhead baseline (BENCH_PR6.json): the cycle
-# kernel with metrics collection off (before) vs on (after), measured
-# back to back in one process and best-of-3 per row, so the "metrics
-# are within noise" claim of OBSERVABILITY.md stays measured.
-bench-metrics:
-	$(GO) run ./cmd/asymsim benchkernel -skip-all -repeat 3 \
-		-compare-metrics -out BENCH_PR6.json

@@ -25,13 +25,6 @@ type SimJob struct {
 	Horizon int64
 }
 
-// BatchOptions tune RunBatch; the embedded RunConfig carries the shared
-// execution environment (worker pool, progress, accounting, metrics,
-// persistent store).
-type BatchOptions struct {
-	RunConfig
-}
-
 // SimPanicError is the typed failure a panicking simulation is
 // converted into: the worker recovers the panic and fails only that
 // job, so one bad simulation cannot take down the host process.
@@ -40,17 +33,17 @@ type SimPanicError = runner.PanicError
 
 // RunBatch executes a flat batch of simulation jobs on a bounded worker
 // pool against the process-wide measurement cache, backed by the
-// persistent store when RunConfig.Store/StoreDir is set. Results return
+// persistent store when cfg.Store/StoreDir is set. Results return
 // positionally — results[i] belongs to jobs[i], whatever the
 // scheduling — so callers merge deterministically. Cancel ctx to abort;
 // the error then wraps context.Canceled.
-func RunBatch(ctx context.Context, jobs []SimJob, opts BatchOptions) ([]*WorkloadMeasurement, error) {
-	st, opened, err := opts.resolveStore()
+func RunBatch(ctx context.Context, jobs []SimJob, cfg RunConfig) ([]*WorkloadMeasurement, error) {
+	st, opened, err := cfg.resolveStore()
 	if err != nil {
 		return nil, fmt.Errorf("asymfence: batch: %w", err)
 	}
 	eng := experiments.NewEngine(experiments.EngineOptions{
-		Workers: opts.Jobs, Progress: opts.Progress, Metrics: opts.Metrics, Store: st,
+		Workers: cfg.Jobs, Progress: cfg.Progress, Metrics: cfg.Metrics, Store: st,
 	})
 	specs := make([]runner.Spec, len(jobs))
 	for i, j := range jobs {
@@ -60,9 +53,9 @@ func RunBatch(ctx context.Context, jobs []SimJob, opts BatchOptions) ([]*Workloa
 		}
 	}
 	ms, err := eng.RunSpecs(ctx, specs)
-	if opts.Stats != nil {
+	if cfg.Stats != nil {
 		es := eng.Stats()
-		*opts.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
+		*cfg.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
 	}
 	if opened {
 		if cerr := st.Close(); cerr != nil && err == nil {

@@ -8,12 +8,10 @@
 //	asymsim -version                       print build provenance
 //	asymsim [flags] run <group>:<app>      one workload under every design
 //	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
-//	asymsim bench [flags]                  machine-readable perf snapshot
 //	asymsim serve [flags] <experiment>     run with a live observability server
 //	asymsim fuzz [flags]                   litmus-fuzz under invariant checkers
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
 //	asymsim hwbench [flags]                asymmetric fences on real silicon
-//	asymsim benchkernel [flags]            cycle-kernel perf baseline
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
 // headline, or all. Each prints the same rows/series the paper reports
@@ -41,11 +39,6 @@
 //
 //	asymsim trace cilk:fib -trace-out /tmp/t.json
 //	asymsim trace ustm:List -design Wee -format jsonl -interval 500
-//
-// The bench subcommand runs every workload under every design at a
-// fixed quick scale and writes cycles/throughput per (workload, design)
-// to BENCH_<date>.json, giving later changes a perf trajectory to
-// compare against.
 //
 // The hwbench subcommand leaves the simulator entirely: it runs the
 // real-goroutine ports of the Cilk-THE deque and the TLRW STM read-lock
@@ -75,7 +68,7 @@
 //	asymsim serve -listen :6060 all
 //	curl localhost:6060/metrics?format=json
 //
-// The experiment and serve paths accept -store dir, the persistent
+// The experiment, run and serve paths accept -store dir, the persistent
 // content-addressed measurement store: warm configurations load from
 // disk instead of re-simulating, across process restarts, with
 // byte-identical tables.
@@ -111,10 +104,6 @@ func mainCmd(ctx context.Context, args []string) int {
 		switch args[0] {
 		case "trace":
 			return traceCmd(ctx, args[1:])
-		case "bench":
-			return benchCmd(ctx, args[1:])
-		case "benchkernel":
-			return benchKernelCmd(ctx, args[1:])
 		case "hwbench":
 			return hwbenchCmd(ctx, args[1:])
 		case "fuzz":
@@ -142,8 +131,6 @@ func mainCmd(ctx context.Context, args []string) int {
 		fmt.Fprintf(os.Stderr, "usage: asymsim [flags] <experiment>\n"+
 			"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
 			"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
-			"       asymsim bench [flags]                 (asymsim bench -h for flags)\n"+
-			"       asymsim benchkernel [flags]           (asymsim benchkernel -h for flags)\n"+
 			"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
 			"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
 			"       asymsim conform [flags]               (asymsim conform -h for flags)\n"+
@@ -173,13 +160,22 @@ func mainCmd(ctx context.Context, args []string) int {
 	if *seq {
 		workers = 1
 	}
+	var progress io.Writer
+	if !*quiet {
+		progress = os.Stderr
+	}
+	var stats asymfence.RunStats
 	reg := newCLIMetrics(*metricsOut)
-	if maybeRun(ctx, fs.Args(), *cores, *scale, *horizon, workers, *quiet, reg) {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim:", err)
-			return 1
+	cfg := asymfence.RunConfig{
+		Jobs: workers, Progress: progress, Stats: &stats, Metrics: reg,
+		StoreDir: *storeDir,
+	}
+	if fs.NArg() == 2 && fs.Arg(0) == "run" {
+		err := runOne(ctx, fs.Arg(1), *cores, *scale, *horizon, cfg)
+		if err == nil {
+			err = writeMetrics(reg, *metricsOut)
 		}
-		return 0
+		return exitCode(err)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -194,25 +190,13 @@ func mainCmd(ctx context.Context, args []string) int {
 			id, asymfence.ExperimentIDs)
 		return 2
 	}
-	var progress io.Writer
-	if !*quiet {
-		progress = os.Stderr
-	}
-	var stats asymfence.RunStats
 	start := time.Now()
 	tables, err := exp.Run(ctx, asymfence.Options{
-		RunConfig: asymfence.RunConfig{
-			Jobs: workers, Progress: progress, Stats: &stats, Metrics: reg,
-			StoreDir: *storeDir,
-		},
-		Cores: *cores, Scale: *scale, Horizon: *horizon,
+		RunConfig: cfg,
+		Cores:     *cores, Scale: *scale, Horizon: *horizon,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		if errors.Is(err, context.Canceled) {
-			return 130
-		}
-		return 1
+		return exitCode(err)
 	}
 	for _, t := range tables {
 		if *md {
@@ -222,10 +206,22 @@ func mainCmd(ctx context.Context, args []string) int {
 		}
 	}
 	if err := writeMetrics(reg, *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		return 1
+		return exitCode(err)
 	}
 	fmt.Fprintf(os.Stderr, "asymsim: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
 		id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// exitCode reports err on stderr and maps it to the process exit code:
+// 0 for nil, 130 for an interrupted run, 1 for any other failure.
+func exitCode(err error) int {
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(os.Stderr, "asymsim:", err)
+	if errors.Is(err, context.Canceled) {
+		return 130
+	}
+	return 1
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"asymfence"
@@ -14,7 +12,7 @@ import (
 // sweep with the cycle breakdown and the fence-site stall profile. The
 // per-design simulations execute as one parallel batch; the printout
 // order is fixed by the batch's submission order.
-func runOne(ctx context.Context, spec string, cores int, scale float64, horizon int64, workers int, quiet bool, reg *asymfence.MetricsRegistry) error {
+func runOne(ctx context.Context, spec string, cores int, scale float64, horizon int64, cfg asymfence.RunConfig) error {
 	group, app, ok := strings.Cut(spec, ":")
 	if !ok {
 		return fmt.Errorf("workload spec must be <group>:<app>, e.g. cilk:fib (groups: cilk, ustm, stamp)")
@@ -30,13 +28,7 @@ func runOne(ctx context.Context, spec string, cores int, scale float64, horizon 
 			Cores: cores, Scale: scale, Horizon: horizon,
 		}
 	}
-	var progress io.Writer
-	if !quiet {
-		progress = os.Stderr
-	}
-	ms, err := asymfence.RunBatch(ctx, jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{Jobs: workers, Progress: progress, Metrics: reg},
-	})
+	ms, err := asymfence.RunBatch(ctx, jobs, cfg)
 	if err != nil {
 		return err
 	}
@@ -57,15 +49,4 @@ func runOne(ctx context.Context, spec string, cores int, scale float64, horizon 
 	fmt.Println("\n(pc values index the workload's disassembly; the fence-site profile")
 	fmt.Println(" shows which fence — take/steal, read/write/commit barrier — pays the stall)")
 	return nil
-}
-
-func maybeRun(ctx context.Context, args []string, cores int, scale float64, horizon int64, workers int, quiet bool, reg *asymfence.MetricsRegistry) bool {
-	if len(args) != 2 || args[0] != "run" {
-		return false
-	}
-	if err := runOne(ctx, args[1], cores, scale, horizon, workers, quiet, reg); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(1)
-	}
-	return true
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,8 +102,10 @@ func TestServeMuxEndpoints(t *testing.T) {
 
 // TestServeRequiresExperiment pins the narrowed CLI surface: serve with
 // no experiment prints usage and exits 2 before it listens (the address
-// below is already taken, so a listen attempt would exit 1 instead),
-// and submit is no subcommand, so it reads as an unknown experiment.
+// below is already taken, so a listen attempt would exit 1 instead);
+// submit, bench and benchkernel are no subcommands, so they read as
+// unknown experiments; and run reports failure through its exit code
+// and honors -store like the experiment path.
 func TestServeRequiresExperiment(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -113,7 +117,21 @@ func TestServeRequiresExperiment(t *testing.T) {
 	if code := serveCmd(ctx, []string{"-listen", ln.Addr().String()}); code != 2 {
 		t.Fatalf("serve with no experiment exited %d, want 2", code)
 	}
-	if code := mainCmd(ctx, []string{"submit"}); code != 2 {
-		t.Fatalf("asymsim submit exited %d, want 2 (unknown experiment)", code)
+	for _, sub := range []string{"submit", "bench", "benchkernel"} {
+		if code := mainCmd(ctx, []string{sub}); code != 2 {
+			t.Fatalf("asymsim %s exited %d, want 2 (unknown experiment)", sub, code)
+		}
+	}
+
+	bg := context.Background()
+	if code := mainCmd(bg, []string{"run", "nocolon"}); code != 1 {
+		t.Fatalf("asymsim run nocolon exited %d, want 1", code)
+	}
+	dir := t.TempDir()
+	if code := mainCmd(bg, []string{"-q", "-store", dir, "-scale", "0.05", "-cores", "2", "run", "cilk:fib"}); code != 0 {
+		t.Fatalf("asymsim -store run cilk:fib exited %d, want 0", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
+		t.Fatalf("run -store left no store index: %v", err)
 	}
 }

@@ -67,8 +67,8 @@ func traceCmd(ctx context.Context, args []string) int {
 
 	reg := newCLIMetrics(*metricsOut)
 	res, err := asymfence.TraceWorkload(ctx, group, app, d, asymfence.TraceOptions{
-		RunConfig: asymfence.RunConfig{Metrics: reg},
-		Cores:     *cores, Scale: *scale, Horizon: *horizon,
+		Metrics: reg,
+		Cores:   *cores, Scale: *scale, Horizon: *horizon,
 		Mask: mask, MaxEvents: *maxEvents, SampleInterval: *interval,
 	})
 	if err != nil {

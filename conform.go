@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"asymfence/internal/check"
 	"asymfence/internal/faults"
@@ -38,7 +39,12 @@ import (
 // ConformOptions configures RunConform. Zero fields take defaults; the
 // zero value is a usable quick configuration.
 type ConformOptions struct {
-	RunConfig
+	// Progress, when non-nil, receives one line per checked seed.
+	Progress io.Writer
+	// Metrics, when non-nil, receives every simulator run's machine
+	// counters and the campaign's conform counters (see
+	// MetricsRegistry).
+	Metrics *MetricsRegistry
 
 	// Seeds is how many generator seeds to check (default 25).
 	Seeds int

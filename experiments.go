@@ -11,7 +11,7 @@ import (
 type ExperimentTable = experiments.Table
 
 // Options tune the experiment harness. The embedded RunConfig carries
-// the execution environment shared by every entry point (worker pool,
+// the execution environment shared with RunBatch (worker pool,
 // progress, accounting, metrics, persistent store); the fields here
 // size the experiments themselves. Every field uses "unset means
 // default" semantics with an explicit sentinel: numeric fields are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"asymfence/internal/check"
 	"asymfence/internal/faults"
@@ -16,11 +17,13 @@ import (
 )
 
 // FuzzOptions configures RunFuzz. Zero fields take defaults; the zero
-// value is a usable quick-smoke configuration. Fuzz runs are never
-// memoized, so of the embedded RunConfig only Progress (one line per
-// completed seed) and Metrics apply.
+// value is a usable quick-smoke configuration.
 type FuzzOptions struct {
-	RunConfig
+	// Progress, when non-nil, receives one line per completed seed.
+	Progress io.Writer
+	// Metrics, when non-nil, receives every run's machine counters (see
+	// MetricsRegistry).
+	Metrics *MetricsRegistry
 
 	// Seeds is how many generator seeds to try (default 25).
 	Seeds int

@@ -5,14 +5,16 @@ import (
 
 	"asymfence/internal/fence"
 	"asymfence/internal/mem"
+	"asymfence/internal/metrics"
 	"asymfence/internal/sim"
 	"asymfence/internal/workloads/litmus"
 )
 
 // kernelMachine builds a long-running contended machine (Bakery lock
 // handoffs keep all cores, directories and the mesh active) for
-// measuring the cycle kernel under one fence design.
-func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
+// measuring the cycle kernel under one fence design, exporting into reg
+// (nil: metrics off).
+func kernelMachine(b *testing.B, d fence.Design, ncores int, reg *metrics.Registry) *sim.Machine {
 	b.Helper()
 	al := mem.NewAllocator(dataBase)
 	weak := make([]bool, ncores)
@@ -20,7 +22,7 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 		weak[i] = true
 	}
 	progs, _ := litmus.Bakery(al, ncores, 1<<20, weak, true)
-	m, err := sim.New(sim.Config{NCores: ncores, Design: d}, progs, mem.NewStore())
+	m, err := sim.New(sim.Config{NCores: ncores, Design: d, Metrics: reg}, progs, mem.NewStore())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,21 +30,30 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 }
 
 // BenchmarkCycleKernel measures Machine.Step under each fence design on
-// a busy 4-core machine: ns/op is nanoseconds per simulated cycle, so
-// cycles/sec = 1e9 / (ns/op). This is the per-subsystem view of the
-// end-to-end numbers in BENCH_PR4.json (see PERFORMANCE.md); steady
-// state should be near allocation-free.
+// a busy 4-core machine, with metrics collection off and on (a
+// sim.Config.Metrics registry per run): ns/op is nanoseconds per
+// simulated cycle, so cycles/sec = 1e9 / (ns/op). This is the
+// per-subsystem view of the end-to-end perfbench numbers (see
+// PERFORMANCE.md); the metrics=off/metrics=on pair keeps the
+// "metrics within noise" claim of OBSERVABILITY.md measurable, and
+// steady state should be near allocation-free either way.
 func BenchmarkCycleKernel(b *testing.B) {
 	for _, d := range fence.AllDesigns {
-		b.Run(d.String(), func(b *testing.B) {
-			m := kernelMachine(b, d, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
+		for _, on := range []bool{false, true} {
+			name, reg := "metrics=off", (*metrics.Registry)(nil)
+			if on {
+				name, reg = "metrics=on", metrics.NewRegistry()
 			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-		})
+			b.Run(d.String()+"/"+name, func(b *testing.B) {
+				m := kernelMachine(b, d, 4, reg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Step()
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+			})
+		}
 	}
 }
 

@@ -48,9 +48,7 @@ func TestEngineMetricsDeterministicAcrossWorkers(t *testing.T) {
 		t.Helper()
 		asymfence.FlushSimCache()
 		reg := asymfence.NewMetricsRegistry()
-		if _, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-			RunConfig: asymfence.RunConfig{Jobs: workers, Metrics: reg},
-		}); err != nil {
+		if _, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{Jobs: workers, Metrics: reg}); err != nil {
 			t.Fatalf("RunBatch (j=%d): %v", workers, err)
 		}
 		return reg
@@ -94,9 +92,7 @@ func TestCacheHitMetrics(t *testing.T) {
 	asymfence.FlushSimCache()
 	reg := asymfence.NewMetricsRegistry()
 	for i := 0; i < 2; i++ {
-		if _, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-			RunConfig: asymfence.RunConfig{Jobs: 4, Metrics: reg},
-		}); err != nil {
+		if _, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{Jobs: 4, Metrics: reg}); err != nil {
 			t.Fatalf("RunBatch pass %d: %v", i, err)
 		}
 	}

@@ -4,23 +4,20 @@ import (
 	"io"
 )
 
-// RunConfig is the execution-environment configuration shared by every
-// entry point of the harness: Options (experiments), BatchOptions
-// (RunBatch), FuzzOptions (RunFuzz) and TraceOptions (TraceWorkload)
-// all embed it, so the worker pool, progress narration, job accounting,
-// metrics collection and the persistent measurement store are spelled
-// the same way everywhere — and every entry point gains persistence by
-// setting one field.
+// RunConfig is the execution-environment configuration of the two entry
+// points that memoize simulations: Options (experiments) embeds it and
+// RunBatch takes it, so the worker pool, progress narration, job
+// accounting, metrics collection and the persistent measurement store
+// are spelled the same way for both, and every field is honored.
 //
 // Every field uses "unset means default" semantics: the zero value is a
 // valid configuration (default pool, no narration, no accounting, no
 // metrics, no persistence).
 //
-// Entry points that memoize simulations (experiments, RunBatch) honor
-// every field. TraceWorkload runs exactly one instrumented simulation,
-// so it uses Metrics only; RunFuzz explores seeded campaigns whose runs
-// are never memoized, so it uses Progress (one line per seed) and
-// Metrics only.
+// RunFuzz, RunConform and TraceWorkload never memoize and run no worker
+// pool, so their option structs carry only the fields they read:
+// Progress and Metrics (FuzzOptions, ConformOptions), or Metrics alone
+// (TraceOptions).
 type RunConfig struct {
 	// Jobs bounds the simulation worker pool (<=0: GOMAXPROCS;
 	// 1: fully sequential execution). Tables are byte-identical at any

@@ -84,9 +84,7 @@ func TestStoreDirConvenience(t *testing.T) {
 
 	asymfence.FlushSimCache()
 	var cold asymfence.RunStats
-	first, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{StoreDir: dir, Stats: &cold},
-	})
+	first, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{StoreDir: dir, Stats: &cold})
 	if err != nil {
 		t.Fatalf("cold RunBatch: %v", err)
 	}
@@ -96,9 +94,7 @@ func TestStoreDirConvenience(t *testing.T) {
 
 	asymfence.FlushSimCache()
 	var warm asymfence.RunStats
-	second, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{StoreDir: dir, Stats: &warm},
-	})
+	second, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{StoreDir: dir, Stats: &warm})
 	if err != nil {
 		t.Fatalf("warm RunBatch: %v", err)
 	}

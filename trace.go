@@ -27,10 +27,10 @@ func ParseEventMask(s string) (EventMask, bool) { return trace.ParseMask(s) }
 
 // TraceOptions configures TraceWorkload; the zero value traces every
 // event class with quick-run workload sizing. See experiments.TraceOptions.
-// TraceWorkload runs exactly one instrumented simulation, so of the
-// embedded RunConfig only Metrics applies.
 type TraceOptions struct {
-	RunConfig
+	// Metrics, when non-nil, receives the run's machine counters (see
+	// MetricsRegistry).
+	Metrics *MetricsRegistry
 
 	// Cores (default 8).
 	Cores int
