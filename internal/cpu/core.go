@@ -127,30 +127,35 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// operand is a captured instruction input: either a known value with its
-// dataflow-ready time, or a reference to the producing ROB entry.
+// ref is a handle to a ROB entry: the ring slot it occupies and its
+// sequence number. It is valid only while rob[slot].seq == seq; once the
+// slot holds a younger instruction, dereferencing it panics (Core.entry).
+// The zero ref names no entry (sequence numbers start at 1).
+type ref struct {
+	slot int32
+	seq  uint64
+}
+
+// operand is a value that may still be in flight: either known, with its
+// dataflow-ready time, or a handle to the unresolved entry producing it.
+// It is both a captured instruction input and the fetch-side register
+// state (maintained in program order). No operand names a resolved
+// producer for long: propagate materializes captured inputs and publish
+// rewrites register state as soon as the producer resolves, so a handle
+// never outlives its producer's slot.
 type operand struct {
 	known bool
 	val   uint32
 	ready int64
-	prod  *robEntry
-}
-
-// regVal is the fetch-side architectural register state, maintained in
-// program order. When a register's latest writer is an unperformed load,
-// prod points at it.
-type regVal struct {
-	known bool
-	val   uint32
-	ready int64
-	prod  *robEntry
+	prod  ref
 }
 
 // robEntry is one in-flight instruction.
 type robEntry struct {
-	in  isa.Instr
-	pc  int
-	seq uint64
+	in   isa.Instr
+	pc   int
+	seq  uint64
+	slot int32 // this entry's ring slot
 
 	s1, s2 operand
 
@@ -164,7 +169,6 @@ type robEntry struct {
 	addr      mem.Addr
 	addrOK    bool
 	addrReady int64
-	issued    bool
 	performed bool
 	forwarded bool // value came from store-to-load forwarding
 
@@ -173,14 +177,11 @@ type robEntry struct {
 	dataVal   uint32
 	dataReady int64
 
-	squashed bool
-
 	// Branch prediction state: predicted is set when the branch was
-	// fetched with unresolved operands; mispredict/actualTaken record the
-	// verification outcome.
+	// fetched with unresolved operands; actualTaken records the
+	// verified outcome of a mispredicted one.
 	predicted   bool
 	predTaken   bool
-	mispredict  bool
 	actualTaken bool
 
 	// slots is how many ROB entries this instruction occupies: 1, except
@@ -195,16 +196,22 @@ type robEntry struct {
 
 	// prevWork restores workUnitFree when a Work entry is squashed.
 	prevWork int64
+
+	// undoIdx is the absolute index (see Core.undoBase) of the undo record
+	// that saved this entry as a register's previous writer, if any;
+	// publish checks that the record still names the entry before
+	// patching it.
+	undoIdx int
 }
 
 func (e *robEntry) line() mem.Line { return mem.LineOf(e.addr) }
+
+func (e *robEntry) ref() ref { return ref{slot: e.slot, seq: e.seq} }
 
 // activeFence is a retired-but-incomplete weak fence.
 type activeFence struct {
 	seq     uint64 // the fence instruction's sequence number
 	pcAfter int    // resume point for W+ rollback
-	// undoMark is the undo-log length at the fence (W+ checkpoint).
-	undoMark int
 	// Wee state.
 	module   int        // module the PS (and BS) must confine to; -1 if not yet pinned
 	remotePS []mem.Line // combined pending sets of other active fences
@@ -231,7 +238,7 @@ type wbEntry struct {
 type undoRec struct {
 	seq  uint64
 	reg  isa.Reg
-	prev regVal
+	prev operand
 }
 
 type statRec struct {
@@ -239,11 +246,12 @@ type statRec struct {
 	id  int32
 }
 
-// loadMiss tracks an outstanding GetS and the loads waiting on it.
+// loadMiss is one MSHR: an outstanding GetS and the loads waiting on it.
 type loadMiss struct {
+	busy    bool
 	line    mem.Line
 	reqID   uint64
-	waiters []*robEntry
+	waiters []ref
 }
 
 // Core is one simulated processor: pipeline front end, ROB, write buffer,
@@ -263,22 +271,39 @@ type Core struct {
 
 	// Fetch-side architectural state.
 	pc       int
-	regs     [isa.NumRegs]regVal
+	regs     [isa.NumRegs]operand
 	fetchEnd bool // Halt fetched; stop fetching
 
-	rob      []*robEntry // FIFO, index 0 = head
-	robSlots int         // occupied ROB entries (Work counts its size)
+	// rob is a ring of ROBSize entries, allocated once, at the first
+	// fetch: robN entries in program order starting at slot robHead. Retired and squashed slots
+	// are overwritten by later fetches, so nothing may keep a reference to
+	// an entry except a ref handle that is dropped or materialized before
+	// the slot can be reused.
+	rob      []robEntry
+	robHead  int
+	robN     int
+	robSlots int // occupied ROB entries (Work counts its size)
 	seq      uint64
-	undoLog  []undoRec
+
+	// lq holds the unissued loads and sq the unretired St/Xchg entries,
+	// both in program order, so load issue and store-to-load
+	// disambiguation walk only the entries they concern.
+	lq []ref
+	sq refQueue
+
+	undoLog []undoRec
+	// undoBase is the absolute index of undoLog[0]: pruneUndoLog advances
+	// it, so robEntry.undoIdx stays meaningful across pruning.
+	undoBase int
 	workFree int64 // execution-unit availability for Work instrs
 
-	// statLog records Stat events retired while weak fences are active,
-	// so a W+ rollback can un-count the ones it replays.
+	// statLog records Stat events retired while W+ weak fences are
+	// active, so a W+ rollback can un-count the ones it replays.
 	statLog []statRec
 
 	// mispredicted is the oldest branch found mispredicted this cycle;
 	// the squash/redirect happens at the next step boundary.
-	mispredicted *robEntry
+	mispredicted ref
 
 	wb []wbEntry
 
@@ -294,10 +319,13 @@ type Core struct {
 	atomReqID    uint64
 	atomInFlight bool
 	atomRetryAt  int64
-	atomEntry    *robEntry
+	atomEntry    ref
 
-	loadMisses map[mem.Line]*loadMiss
-	reqIDc     uint64
+	// mshrs holds the MSHRs (Config.MSHRs records, allocated once); at
+	// most one is busy per line. nMiss counts the busy ones.
+	mshrs  []loadMiss
+	nMiss  int
+	reqIDc uint64
 
 	fences []*activeFence // active (retired, incomplete) weak fences
 
@@ -339,18 +367,6 @@ type Core struct {
 	stallKind stallCat // category charged for skipped cycles
 	stallPC   int      // fence-site attribution for stallFence
 	issueWake int64    // earliest future addr-ready of an unissued load
-
-	// entryArena chunk-allocates ROB entries. Entries are never recycled:
-	// captured operands and fetch-side register state hold *robEntry
-	// references (operand.prod, regVal.prod) that can outlive retirement,
-	// so reuse would corrupt dataflow. Chunking still removes ~all
-	// per-instruction heap allocations.
-	entryArena []robEntry
-	entryUsed  int
-
-	// lmPool recycles loadMiss records (safe, unlike ROB entries: the
-	// only reference is the loadMisses map entry deleted at grant time).
-	lmPool []*loadMiss
 }
 
 // stallCat is the memoized per-cycle stats category charged while the
@@ -368,18 +384,18 @@ const (
 func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store) *Core {
 	cfg.applyDefaults()
 	c := &Core{
-		cfg:        cfg,
-		prog:       prog,
-		mesh:       mesh,
-		store:      store,
-		st:         stats.NewCore(),
-		tr:         cfg.Tracer,
-		chk:        cfg.Checker,
-		flt:        cfg.Faults,
-		l1:         cache.New(cfg.L1Bytes, cfg.L1Assoc),
-		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
-		loadMisses: make(map[mem.Line]*loadMiss),
-		issueWake:  math.MaxInt64,
+		cfg:       cfg,
+		prog:      prog,
+		mesh:      mesh,
+		store:     store,
+		st:        stats.NewCore(),
+		tr:        cfg.Tracer,
+		chk:       cfg.Checker,
+		flt:       cfg.Faults,
+		l1:        cache.New(cfg.L1Bytes, cfg.L1Assoc),
+		bs:        fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
+		mshrs:     make([]loadMiss, cfg.MSHRs),
+		issueWake: math.MaxInt64,
 	}
 	// Architectural registers start as known zeros.
 	for i := range c.regs {
@@ -418,11 +434,8 @@ func (c *Core) L1Holds(l mem.Line) (held, exclusive bool) {
 // unresolved.
 func (c *Core) Reg(r isa.Reg) uint32 {
 	rv := c.regs[r]
-	if rv.prod != nil {
-		if !rv.prod.resolved {
-			panic("cpu: register value unresolved")
-		}
-		return rv.prod.val
+	if rv.prod.seq != 0 {
+		panic("cpu: register value unresolved")
 	}
 	return rv.val
 }
@@ -446,63 +459,151 @@ func (c *Core) send(now int64, dst int, m coherence.Msg, cat noc.Category) {
 	c.mesh.Send(now, coherence.Packet{Src: c.cfg.ID, Dst: dst, Size: m.Size(), Cat: cat, Payload: m})
 }
 
-// newEntry allocates a ROB entry from the append-only arena; the slot is
-// always fresh (zeroed) because entries are never reused.
-func (c *Core) newEntry() *robEntry {
-	if c.entryUsed == len(c.entryArena) {
-		c.entryArena = make([]robEntry, 512)
-		c.entryUsed = 0
+// slotAt returns the ring slot of the i-th oldest in-flight entry.
+func (c *Core) slotAt(i int) int {
+	s := c.robHead + i
+	if s >= len(c.rob) {
+		s -= len(c.rob)
 	}
-	e := &c.entryArena[c.entryUsed]
-	c.entryUsed++
+	return s
+}
+
+// at returns the i-th oldest in-flight entry.
+func (c *Core) at(i int) *robEntry { return &c.rob[c.slotAt(i)] }
+
+// posOf returns the program-order position of a ring slot; it is >= robN
+// when the slot holds no in-flight entry.
+func (c *Core) posOf(slot int32) int {
+	p := int(slot) - c.robHead
+	if p < 0 {
+		p += len(c.rob)
+	}
+	return p
+}
+
+// entry dereferences a handle. A stale handle (its slot reused by a
+// younger instruction) is a dataflow bug, so it panics rather than
+// returning the wrong entry.
+func (c *Core) entry(h ref) *robEntry {
+	e := &c.rob[h.slot]
+	if e.seq != h.seq {
+		panic("cpu: stale ROB handle")
+	}
 	return e
 }
 
-// newLoadMiss takes a record from the pool or allocates one.
-func (c *Core) newLoadMiss() *loadMiss {
-	if n := len(c.lmPool); n > 0 {
-		lm := c.lmPool[n-1]
-		c.lmPool = c.lmPool[:n-1]
-		return lm
+// newEntry claims the ring slot after the youngest entry and zeroes it.
+// The caller must have checked that the window has room; the entry joins
+// the window when pushROB commits it.
+func (c *Core) newEntry() *robEntry {
+	slot := c.slotAt(c.robN)
+	e := &c.rob[slot]
+	*e = robEntry{slot: int32(slot)}
+	return e
+}
+
+// refQueue is a bounded FIFO of ROB handles in program order.
+type refQueue struct {
+	buf     []ref
+	head, n int
+}
+
+// idx maps the i-th oldest position to its buffer index.
+func (q *refQueue) idx(i int) int {
+	j := q.head + i
+	if j >= len(q.buf) {
+		j -= len(q.buf)
 	}
-	return &loadMiss{}
+	return j
+}
+
+func (q *refQueue) at(i int) ref { return q.buf[q.idx(i)] }
+
+func (q *refQueue) push(h ref) {
+	q.buf[q.idx(q.n)] = h
+	q.n++
+}
+
+func (q *refQueue) popFront() {
+	q.head = q.idx(1)
+	q.n--
+}
+
+// dropFrom removes every handle with seq >= cut (a program-order suffix).
+func (q *refQueue) dropFrom(cut uint64) {
+	for q.n > 0 && q.at(q.n-1).seq >= cut {
+		q.n--
+	}
+}
+
+// freeMSHR returns an idle MSHR; the caller has checked nMiss < MSHRs.
+func (c *Core) freeMSHR() *loadMiss {
+	for i := range c.mshrs {
+		if !c.mshrs[i].busy {
+			return &c.mshrs[i]
+		}
+	}
+	panic("cpu: no free MSHR")
+}
+
+// missFor returns the busy MSHR for line l, or nil.
+func (c *Core) missFor(l mem.Line) *loadMiss {
+	for i := range c.mshrs {
+		if lm := &c.mshrs[i]; lm.busy && lm.line == l {
+			return lm
+		}
+	}
+	return nil
 }
 
 // readReg captures the current fetch-side state of register r as an
-// operand, materializing producer results that have resolved since the
-// register was written.
+// operand.
 func (c *Core) readReg(r isa.Reg) operand {
 	if r == isa.R0 {
 		return operand{known: true}
 	}
-	rv := &c.regs[r]
-	if rv.prod != nil && rv.prod.resolved {
-		rv.known = true
-		rv.val = rv.prod.val
-		rv.ready = rv.prod.ready
-		rv.prod = nil
-	}
-	return operand{known: rv.known, val: rv.val, ready: rv.ready, prod: rv.prod}
+	return c.regs[r]
 }
 
 // writeReg records a fetch-side register write, logging the previous state
-// for squash/rollback undo.
-func (c *Core) writeReg(e *robEntry, r isa.Reg, nv regVal) {
+// for squash/rollback undo. When the previous state names an unresolved
+// producer, the producer remembers the record so publish can patch it.
+func (c *Core) writeReg(e *robEntry, r isa.Reg, nv operand) {
 	if r == isa.R0 {
 		return
 	}
 	prev := c.regs[r]
+	if prev.prod.seq != 0 {
+		c.entry(prev.prod).undoIdx = c.undoBase + len(c.undoLog)
+	}
 	c.undoLog = append(c.undoLog, undoRec{seq: e.seq, reg: r, prev: prev})
 	c.regs[r] = nv
 }
 
+// publish hands a just-resolved entry's value to the fetch side: into its
+// destination register if e is still that register's latest writer,
+// otherwise into the single undo record that saved e as the register's
+// previous state (a squash or W+ rollback may restore it after e's slot
+// has been reused). Afterwards no register state names e.
+func (c *Core) publish(e *robEntry) {
+	h := e.ref()
+	v := operand{known: true, val: e.val, ready: e.ready}
+	if rv := &c.regs[e.in.Dst]; rv.prod == h {
+		*rv = v
+		return
+	}
+	if i := e.undoIdx - c.undoBase; i >= 0 && i < len(c.undoLog) && c.undoLog[i].prev.prod == h {
+		c.undoLog[i].prev = v
+	}
+}
+
 // materialize refreshes an operand whose producer has since resolved.
-func (o *operand) materialize() {
-	if o.prod != nil && o.prod.resolved {
-		o.known = true
-		o.val = o.prod.val
-		o.ready = o.prod.ready
-		o.prod = nil
+func (c *Core) materialize(o *operand) {
+	if o.prod.seq == 0 {
+		return
+	}
+	if p := c.entry(o.prod); p.resolved {
+		*o = operand{known: true, val: p.val, ready: p.ready}
 	}
 }
 

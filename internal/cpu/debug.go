@@ -14,11 +14,12 @@ func (c *Core) DebugState() string {
 	if len(c.wb) > 0 {
 		fmt.Fprintf(&b, "  wb head: addr=%#x seq=%d retryAt=%d order=%v\n", c.wb[0].addr, c.wb[0].seq, c.wbRetryAt, c.wbOrder)
 	}
-	for i, e := range c.rob {
+	for i := 0; i < c.robN; i++ {
 		if i >= 6 {
-			fmt.Fprintf(&b, "  ... %d more rob entries\n", len(c.rob)-i)
+			fmt.Fprintf(&b, "  ... %d more rob entries\n", c.robN-i)
 			break
 		}
+		e := c.at(i)
 		fmt.Fprintf(&b, "  rob[%d]: pc=%d %v resolved=%v performed=%v addrOK=%v addr=%#x ready=%d\n",
 			i, e.pc, e.in, e.resolved, e.performed, e.addrOK, e.addr, e.ready)
 	}

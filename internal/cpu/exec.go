@@ -15,104 +15,106 @@ import (
 // Loads may issue speculatively, arbitrarily deep in the ROB. TSO
 // store-to-load forwarding is honored: a load first searches older stores
 // (unretired ones in the ROB, then the write buffer) for a matching
-// address.
+// address. Only the unissued-load queue is walked; issued loads leave it.
 func (c *Core) issueLoads(now int64) {
-	outstanding := len(c.loadMisses)
 	// Recompute the earliest future address-ready among unissued loads
 	// (an idle-memoization wake term: nothing else re-examines a load
 	// whose address resolved with a future ready time).
 	c.issueWake = math.MaxInt64
-	for i, e := range c.rob {
-		if e.in.Op != isa.Ld || e.squashed || e.issued || e.performed {
+	kept := c.lq[:0]
+	for _, h := range c.lq {
+		e := c.entry(h)
+		if c.issueLoad(now, e) {
 			continue
 		}
-		if !e.addrOK {
-			continue
-		}
-		if now < e.addrReady {
-			if e.addrReady < c.issueWake {
-				c.issueWake = e.addrReady
-			}
-			continue
-		}
-		fwd, ok := c.searchOlderStores(i, e)
-		if !ok {
-			continue // an older store's address or data is unresolved
-		}
-		if fwd != nil {
-			e.issued = true
-			e.forwarded = true
-			c.acted = true
-			c.performLoadValue(now+1, e, fwd.val)
-			continue
-		}
-		line := e.line()
-		if _, hit := c.l1.Lookup(line); hit {
-			e.issued = true
-			c.acted = true
-			c.performLoad(now+c.cfg.L1HitLatency, e)
-			continue
-		}
-		// Miss: merge into an outstanding request for the line or send a
-		// new GetS, subject to the MSHR limit.
-		if lm, ok := c.loadMisses[line]; ok {
-			e.issued = true
-			c.acted = true
-			lm.waiters = append(lm.waiters, e)
-			continue
-		}
-		if outstanding >= c.cfg.MSHRs {
-			continue
-		}
-		outstanding++
-		e.issued = true
-		lm := c.newLoadMiss()
-		lm.line = line
-		lm.reqID = c.nextReqID()
-		lm.waiters = append(lm.waiters, e)
-		c.loadMisses[line] = lm
-		c.send(now, c.home(line), coherence.Msg{
-			Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: lm.reqID,
-		}, noc.CatProtocol)
+		kept = append(kept, h)
 	}
+	c.lq = kept
 }
 
-// fwdHit describes a store-to-load forwarding source.
-type fwdHit struct{ val uint32 }
+// issueLoad tries to issue one unissued load and reports whether it did.
+func (c *Core) issueLoad(now int64, e *robEntry) bool {
+	if !e.addrOK {
+		return false
+	}
+	if now < e.addrReady {
+		if e.addrReady < c.issueWake {
+			c.issueWake = e.addrReady
+		}
+		return false
+	}
+	fwd, hit, ok := c.searchOlderStores(e)
+	if !ok {
+		return false // an older store's address or data is unresolved
+	}
+	if hit {
+		e.forwarded = true
+		c.acted = true
+		c.performLoadValue(now+1, e, fwd)
+		return true
+	}
+	line := e.line()
+	if _, hit := c.l1.Lookup(line); hit {
+		c.acted = true
+		c.performLoad(now+c.cfg.L1HitLatency, e)
+		return true
+	}
+	// Miss: merge into an outstanding request for the line or send a
+	// new GetS, subject to the MSHR limit.
+	if lm := c.missFor(line); lm != nil {
+		c.acted = true
+		lm.waiters = append(lm.waiters, e.ref())
+		return true
+	}
+	if c.nMiss >= c.cfg.MSHRs {
+		return false
+	}
+	lm := c.freeMSHR()
+	lm.busy = true
+	lm.line = line
+	lm.reqID = c.nextReqID()
+	lm.waiters = append(lm.waiters[:0], e.ref())
+	c.nMiss++
+	c.send(now, c.home(line), coherence.Msg{
+		Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: lm.reqID,
+	}, noc.CatProtocol)
+	return true
+}
 
 // searchOlderStores looks for the youngest older store writing the load's
-// word. It returns (nil, false) when disambiguation is impossible (an
+// word. It returns ok == false when disambiguation is impossible (an
 // older store's address is unknown) or the matching store's data is not
-// ready yet; (hit, true) on a forwarding match; (nil, true) when the load
-// may access memory.
-func (c *Core) searchOlderStores(idx int, ld *robEntry) (*fwdHit, bool) {
+// ready yet; hit with the forwarded value on a forwarding match; and
+// neither when the load may access memory.
+func (c *Core) searchOlderStores(ld *robEntry) (val uint32, hit, ok bool) {
 	// Unretired older stores, youngest first.
-	for i := idx - 1; i >= 0; i-- {
-		e := c.rob[i]
-		if e.squashed || (e.in.Op != isa.St && e.in.Op != isa.Xchg) {
+	for i := c.sq.n - 1; i >= 0; i-- {
+		h := c.sq.at(i)
+		if h.seq > ld.seq {
 			continue
 		}
+		e := c.entry(h)
 		if !e.addrOK {
-			return nil, false
+			return 0, false, false
 		}
 		if e.addr == ld.addr {
 			if e.in.Op == isa.Xchg {
 				// Atomics execute at the ROB head; the load simply waits.
-				return nil, false
+				return 0, false, false
 			}
 			if !e.dataOK {
-				return nil, false
+				return 0, false, false
 			}
-			return &fwdHit{val: e.dataVal}, true
+			return e.dataVal, true, true
 		}
 	}
 	// Write buffer, youngest first.
 	for i := len(c.wb) - 1; i >= 0; i-- {
 		if c.wb[i].addr == ld.addr {
-			return &fwdHit{val: c.wb[i].val}, true
+			return c.wb[i].val, true, true
 		}
 	}
-	return nil, true
+	return 0, false, true
 }
 
 // performLoad completes a load from the memory system at cycle when.
@@ -130,35 +132,28 @@ func (c *Core) performLoadValue(when int64, e *robEntry, v uint32) {
 	e.val = v
 	e.ready = when
 	e.resolved = true
-	if rv := &c.regs[e.in.Dst]; rv.prod == e {
-		rv.known = true
-		rv.val = e.val
-		rv.ready = e.ready
-		rv.prod = nil
-	}
+	c.publish(e)
 	c.propagate(when, e)
 }
 
 // handleLoadGrant completes an outstanding load miss.
 func (c *Core) handleLoadGrant(now int64, m coherence.Msg) {
-	lm, ok := c.loadMisses[m.Line]
-	if !ok || lm.reqID != m.ReqID {
+	lm := c.missFor(m.Line)
+	if lm == nil || lm.reqID != m.ReqID {
 		return // stale response for a squashed transaction
 	}
-	delete(c.loadMisses, m.Line)
+	lm.busy = false
+	c.nMiss--
 	st := cache.Shared
 	if m.Type == coherence.GrantE {
 		st = cache.Exclusive
 	}
 	c.installL1(now, m.Line, st)
-	for _, e := range lm.waiters {
-		if !e.squashed {
-			c.performLoad(now, e)
-		}
+	// Squashes and rollbacks drop their loads from waiters, so every
+	// handle here is live.
+	for _, h := range lm.waiters {
+		c.performLoad(now, c.entry(h))
 	}
-	// The map entry above was the only live reference; recycle.
-	lm.waiters = lm.waiters[:0]
-	c.lmPool = append(c.lmPool, lm)
 }
 
 // installL1 places a line in the L1, handling the eviction of the victim.
@@ -183,50 +178,55 @@ func (c *Core) installL1(now int64, l mem.Line, st cache.State) {
 	}
 }
 
-// squashFrom rolls the pipeline back to re-fetch from entry index idx: a
-// speculative load there was invalidated (or a younger dependence chain
-// must replay). Fetch-side register state is restored from the undo log.
+// squashFrom rolls the pipeline back to re-fetch from the entry at ROB
+// position idx: a speculative load there was invalidated (or a younger
+// dependence chain must replay). Fetch-side register state is restored
+// from the undo log, and every handle to a squashed entry is dropped.
 func (c *Core) squashFrom(idx int) {
-	cut := c.rob[idx].seq
+	first := c.at(idx)
+	cut, pc := first.seq, first.pc
 	c.undoTo(cut)
 	// Drop the squashed entries and cancel their memory transactions.
-	for _, e := range c.rob[idx:] {
-		e.squashed = true
+	for i := idx; i < c.robN; i++ {
+		e := c.at(i)
 		c.robSlots -= e.slots
 		if e.in.Op == isa.Work {
 			c.workFree = e.prevWork
 		}
 	}
-	for line, lm := range c.loadMisses {
+	for i := range c.mshrs {
+		lm := &c.mshrs[i]
 		kept := lm.waiters[:0]
 		for _, w := range lm.waiters {
-			if !w.squashed {
+			if w.seq < cut {
 				kept = append(kept, w)
 			}
 		}
 		lm.waiters = kept
-		_ = line
 	}
-	c.pc = c.rob[idx].pc
-	c.rob = c.rob[:idx]
+	for n := len(c.lq); n > 0 && c.lq[n-1].seq >= cut; n-- {
+		c.lq = c.lq[:n-1]
+	}
+	c.sq.dropFrom(cut)
+	if c.mispredicted.seq >= cut {
+		c.mispredicted = ref{}
+	}
+	if c.atomEntry.seq >= cut {
+		c.atomEntry = ref{}
+	}
+	c.pc = pc
+	c.robN = idx
 	c.fetchEnd = false
 }
 
 // undoTo unwinds the fetch-side register undo log, youngest first,
-// removing every record with seq >= cut. Restored producer references that
-// have since resolved are materialized to values.
+// removing every record with seq >= cut. A restored producer handle is
+// always live and unresolved: publish patches the record when it resolves.
 func (c *Core) undoTo(cut uint64) {
 	n := len(c.undoLog)
 	for n > 0 && c.undoLog[n-1].seq >= cut {
-		u := c.undoLog[n-1]
-		prev := u.prev
-		if prev.prod != nil && prev.prod.resolved {
-			prev.known = true
-			prev.val = prev.prod.val
-			prev.ready = prev.prod.ready
-			prev.prod = nil
-		}
-		c.regs[u.reg] = prev
+		u := &c.undoLog[n-1]
+		c.regs[u.reg] = u.prev
 		n--
 	}
 	c.undoLog = c.undoLog[:n]
@@ -237,23 +237,18 @@ func (c *Core) undoTo(cut uint64) {
 // It runs once per cycle at the step boundary (a one-cycle redirect
 // penalty, as in a real pipeline).
 func (c *Core) redirectMispredict() {
-	e := c.mispredicted
-	c.mispredicted = nil
-	if e == nil || e.squashed {
+	h := c.mispredicted
+	c.mispredicted = ref{}
+	if h.seq == 0 {
 		return
 	}
-	idx := -1
-	for i, x := range c.rob {
-		if x == e {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	e := c.entry(h)
+	idx := c.posOf(h.slot)
+	if idx >= c.robN {
 		return
 	}
 	c.st.Mispredicts++
-	if idx+1 < len(c.rob) {
+	if idx+1 < c.robN {
 		c.squashFrom(idx + 1)
 	}
 	if e.actualTaken {
@@ -268,10 +263,8 @@ func (c *Core) redirectMispredict() {
 // (an incoming invalidation conflicts with them). It returns whether any
 // squash happened.
 func (c *Core) squashSpeculativeLoads(now int64, l mem.Line) bool {
-	for i, e := range c.rob {
-		if e.squashed {
-			continue
-		}
+	for i := 0; i < c.robN; i++ {
+		e := c.at(i)
 		if e.in.Op == isa.Ld && e.performed && !e.forwarded && e.line() == l {
 			c.st.Squashes++
 			c.tr.Emit(now, trace.KSquash, int32(c.cfg.ID), uint64(l), int64(e.pc), 0, 0)

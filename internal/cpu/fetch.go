@@ -12,6 +12,14 @@ func (c *Core) fetch(now int64) {
 	if c.fetchEnd || c.draining {
 		return
 	}
+	if c.rob == nil {
+		// Allocated here rather than in New: a machine is often built
+		// well before it runs (or only built), and the window is the
+		// largest per-core structure.
+		c.rob = make([]robEntry, c.cfg.ROBSize)
+		c.lq = make([]ref, 0, c.cfg.ROBSize)
+		c.sq.buf = make([]ref, c.cfg.ROBSize)
+	}
 	for n := 0; n < c.cfg.FetchWidth; n++ {
 		if c.robSlots >= c.cfg.ROBSize {
 			return
@@ -124,7 +132,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		return true
 	}
 	// Immediate-form Work must be admission-checked before the entry is
-	// allocated (the arena cannot un-allocate).
+	// claimed (fetch cannot back out after the checks below).
 	if in.Op == isa.Work {
 		if slots := workSlots(int64(in.Imm), c.cfg.ROBSize); c.robSlots+slots > c.cfg.ROBSize {
 			return false
@@ -157,7 +165,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		e.resolved = true
 		e.val = uint32(in.Imm)
 		e.ready = now + 1
-		c.writeReg(e, in.Dst, regVal{known: true, val: e.val, ready: e.ready})
+		c.writeReg(e, in.Dst, operand{known: true, val: e.val, ready: e.ready})
 
 	case isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor,
 		isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
@@ -169,15 +177,15 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		}
 		c.resolveALU(now, e)
 		if e.resolved {
-			c.writeReg(e, in.Dst, regVal{known: true, val: e.val, ready: e.ready})
+			c.writeReg(e, in.Dst, operand{known: true, val: e.val, ready: e.ready})
 		} else {
-			c.writeReg(e, in.Dst, regVal{prod: e})
+			c.writeReg(e, in.Dst, operand{prod: e.ref()})
 		}
 
 	case isa.Ld:
 		e.s1 = c.readReg(in.Src1)
 		c.resolveAddr(e)
-		c.writeReg(e, in.Dst, regVal{prod: e})
+		c.writeReg(e, in.Dst, operand{prod: e.ref()})
 
 	case isa.St:
 		e.s1 = c.readReg(in.Src1)
@@ -190,13 +198,14 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		e.s2 = c.readReg(in.Src2)
 		c.resolveAddr(e)
 		c.resolveStoreData(e)
-		c.writeReg(e, in.Dst, regVal{prod: e})
+		c.writeReg(e, in.Dst, operand{prod: e.ref()})
 	}
 	c.pushROB(e)
 	return true
 }
 
-// pushROB appends an entry, charging its slot count to the window.
+// pushROB commits the entry newEntry claimed, charging its slot count to
+// the window and queueing loads and stores for issue and disambiguation.
 // Fetching is an action for idle memoization: the front end must run
 // again next cycle.
 func (c *Core) pushROB(e *robEntry) {
@@ -204,8 +213,14 @@ func (c *Core) pushROB(e *robEntry) {
 		e.slots = 1
 	}
 	c.acted = true
-	c.rob = append(c.rob, e)
+	c.robN++
 	c.robSlots += e.slots
+	switch e.in.Op {
+	case isa.Ld:
+		c.lq = append(c.lq, e.ref())
+	case isa.St, isa.Xchg:
+		c.sq.push(e.ref())
+	}
 }
 
 // workSlots is how much of the reorder window a Work of n cycles
@@ -232,8 +247,8 @@ func needsSrc2(op isa.Op) bool {
 // resolveALU computes an ALU entry's value and ready time once both
 // operands are known. One-cycle latency.
 func (c *Core) resolveALU(now int64, e *robEntry) {
-	e.s1.materialize()
-	e.s2.materialize()
+	c.materialize(&e.s1)
+	c.materialize(&e.s2)
 	if !e.s1.known || !e.s2.known {
 		return
 	}
@@ -272,7 +287,7 @@ func (c *Core) resolveALU(now int64, e *robEntry) {
 // resolveAddr computes a memory entry's effective address once the base
 // register is known.
 func (c *Core) resolveAddr(e *robEntry) {
-	e.s1.materialize()
+	c.materialize(&e.s1)
 	if !e.s1.known {
 		return
 	}
@@ -283,7 +298,7 @@ func (c *Core) resolveAddr(e *robEntry) {
 
 // resolveStoreData captures a store's data operand once known.
 func (c *Core) resolveStoreData(e *robEntry) {
-	e.s2.materialize()
+	c.materialize(&e.s2)
 	if !e.s2.known {
 		return
 	}
@@ -293,33 +308,25 @@ func (c *Core) resolveStoreData(e *robEntry) {
 }
 
 // propagate re-resolves every younger entry after a load/xchg performs.
-// A single forward pass suffices because entries are in program order.
+// A single forward pass from the producer's slot suffices because entries
+// are in program order; it materializes every captured operand naming a
+// producer resolved before or during the pass.
 func (c *Core) propagate(now int64, from *robEntry) {
-	seen := false
-	for _, e := range c.rob {
-		if !seen {
-			if e == from {
-				seen = true
-			}
-			continue
-		}
-		if e.squashed {
-			continue
-		}
+	for i := c.posOf(from.slot) + 1; i < c.robN; i++ {
+		e := c.at(i)
 		switch e.in.Op {
 		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
 			if !e.resolved {
-				e.s1.materialize()
-				e.s2.materialize()
+				c.materialize(&e.s1)
+				c.materialize(&e.s2)
 				if e.s1.known && e.s2.known {
 					e.resolved = true
 					e.ready = maxi64(now, maxi64(e.s1.ready, e.s2.ready)) + 1
 					taken := evalBranch(e.in, e.s1.val, e.s2.val)
 					if e.predicted && taken != e.predTaken {
-						e.mispredict = true
 						e.actualTaken = taken
-						if c.mispredicted == nil || e.seq < c.mispredicted.seq {
-							c.mispredicted = e
+						if c.mispredicted.seq == 0 || e.seq < c.mispredicted.seq {
+							c.mispredicted = e.ref()
 						}
 					}
 				}
@@ -329,14 +336,7 @@ func (c *Core) propagate(now int64, from *robEntry) {
 			if !e.resolved {
 				c.resolveALU(now, e)
 				if e.resolved {
-					// Update the fetch-side register if this entry is
-					// still its latest writer.
-					if rv := &c.regs[e.in.Dst]; rv.prod == e {
-						rv.known = true
-						rv.val = e.val
-						rv.ready = e.ready
-						rv.prod = nil
-					}
+					c.publish(e)
 				}
 			}
 		case isa.Ld:

@@ -145,10 +145,10 @@ func (c *Core) handleAtomGrant(now int64, m coherence.Msg) {
 	case coherence.GrantM:
 		c.atomInFlight = false
 		c.installL1(now, m.Line, cache.Modified)
-		if c.atomEntry != nil && !c.atomEntry.squashed {
-			c.performAtomic(now, c.atomEntry)
+		if c.atomEntry.seq != 0 {
+			c.performAtomic(now, c.entry(c.atomEntry))
 		}
-		c.atomEntry = nil
+		c.atomEntry = ref{}
 	case coherence.NackRetry:
 		c.atomInFlight = false
 		c.atomRetryAt = now + c.cfg.RetryBackoff
@@ -273,7 +273,7 @@ func (c *Core) completeFences(now int64) {
 	for len(c.fences) > 0 {
 		f := c.fences[0]
 		if len(c.wb) > 0 && c.wb[0].seq < f.seq {
-			return // a pre-fence store is still pending
+			break // a pre-fence store is still pending
 		}
 		c.acted = true
 		// Sample BS occupancy for Table 4 before dropping the entries.
@@ -305,21 +305,24 @@ func (c *Core) completeFences(now int64) {
 		c.bouncedExternal = false
 		c.timeoutArmed = false
 		c.statLog = c.statLog[:0]
-		c.pruneUndoLog()
 	}
+	c.pruneUndoLog()
 }
 
 // pruneUndoLog drops undo records that no squash or checkpoint can need:
-// older than both the oldest ROB entry and the oldest active fence.
+// older than the oldest ROB entry and, under W+ (the only design that
+// rolls back to a fence), than the oldest active fence. It runs whenever
+// fences may have completed, not only once none is active, so a core that
+// keeps a weak fence in flight for long keeps a bounded log.
 func (c *Core) pruneUndoLog() {
 	if len(c.undoLog) < 1024 {
 		return
 	}
 	cut := c.seq + 1
-	if len(c.rob) > 0 {
-		cut = c.rob[0].seq
+	if c.robN > 0 {
+		cut = c.rob[c.robHead].seq
 	}
-	if len(c.fences) > 0 && c.fences[0].seq+1 < cut {
+	if c.cfg.Design == fence.WPlus && len(c.fences) > 0 && c.fences[0].seq+1 < cut {
 		cut = c.fences[0].seq + 1
 	}
 	i := 0
@@ -328,6 +331,7 @@ func (c *Core) pruneUndoLog() {
 	}
 	if i > 0 {
 		c.undoLog = append(c.undoLog[:0], c.undoLog[i:]...)
+		c.undoBase += i
 	}
 }
 
@@ -380,17 +384,15 @@ func (c *Core) recoverWPlus(now int64) {
 		}
 	}
 	c.statLog = keep
-	for _, e := range c.rob {
-		e.squashed = true
-	}
-	c.rob = c.rob[:0]
+	c.robN = 0
 	c.robSlots = 0
-	for _, lm := range c.loadMisses {
-		lm.waiters = lm.waiters[:0]
+	c.lq = c.lq[:0]
+	c.sq.n = 0
+	c.mispredicted = ref{}
+	for i := range c.mshrs {
+		c.mshrs[i].waiters = c.mshrs[i].waiters[:0]
 	}
-	if c.atomEntry != nil {
-		c.atomEntry = nil
-	}
+	c.atomEntry = ref{}
 	kept := c.wb[:0]
 	for _, w := range c.wb {
 		if w.seq < f.seq {
@@ -528,8 +530,8 @@ func (c *Core) computeWake(now int64) int64 {
 			wake = t
 		}
 	}
-	if len(c.rob) > 0 {
-		e := c.rob[0]
+	if c.robN > 0 {
+		e := &c.rob[c.robHead]
 		switch e.in.Op {
 		case isa.Ld:
 			if e.performed {
@@ -597,5 +599,5 @@ func (c *Core) SkipStall(n int64) {
 // Pending reports whether the core still has in-flight machine state
 // (quiesce detection for the simulator).
 func (c *Core) Pending() bool {
-	return !c.finished || len(c.wb) > 0 || c.wbInFlight || c.atomInFlight || len(c.loadMisses) > 0
+	return !c.finished || len(c.wb) > 0 || c.wbInFlight || c.atomInFlight || c.nMiss > 0
 }

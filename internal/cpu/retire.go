@@ -39,18 +39,22 @@ const (
 func (c *Core) retire(now int64) (int, blockReason, int) {
 	retired := 0
 	for retired < c.cfg.RetireWidth {
-		if len(c.rob) == 0 {
+		if c.robN == 0 {
 			if retired > 0 {
 				return retired, rNone, -1
 			}
 			return 0, rEmpty, -1
 		}
-		e := c.rob[0]
+		e := &c.rob[c.robHead]
 		ok, reason := c.tryRetire(now, e)
 		if !ok {
 			return retired, reason, e.pc
 		}
-		c.rob = c.rob[1:]
+		if e.in.Op == isa.St || e.in.Op == isa.Xchg {
+			c.sq.popFront()
+		}
+		c.robHead = c.slotAt(1)
+		c.robN--
 		c.robSlots -= e.slots
 		c.st.RetiredInstrs++
 		retired++
@@ -77,7 +81,7 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 
 	case isa.Stat:
 		c.st.Event(e.in.Imm)
-		if len(c.fences) > 0 {
+		if len(c.fences) > 0 && c.cfg.Design == fence.WPlus {
 			// A W+ rollback would replay this instruction; log it so the
 			// recovery can un-count it.
 			c.statLog = append(c.statLog, statRec{seq: e.seq, id: e.in.Imm})
@@ -233,7 +237,7 @@ func (c *Core) retireAtomic(now int64, e *robEntry) (bool, blockReason) {
 	}
 	c.atomReqID = c.nextReqID()
 	c.atomInFlight = true
-	c.atomEntry = e
+	c.atomEntry = e.ref()
 	c.send(now, c.home(line), coherence.Msg{
 		Type: coherence.GetM, Line: line, Core: c.cfg.ID, ReqID: c.atomReqID,
 	}, noc.CatProtocol)
@@ -252,12 +256,7 @@ func (c *Core) performAtomic(when int64, e *robEntry) {
 	e.val = old
 	e.ready = when
 	e.resolved = true
-	if rv := &c.regs[e.in.Dst]; rv.prod == e {
-		rv.known = true
-		rv.val = e.val
-		rv.ready = e.ready
-		rv.prod = nil
-	}
+	c.publish(e)
 	c.propagate(when, e)
 }
 
@@ -299,7 +298,7 @@ func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 	// now retire and complete early, guarded by the Bypass Set.
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
-	f := &activeFence{seq: e.seq, pcAfter: e.pc + 1, undoMark: len(c.undoLog)}
+	f := &activeFence{seq: e.seq, pcAfter: e.pc + 1}
 	c.fences = append(c.fences, f)
 	if c.chk != nil {
 		c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
@@ -379,7 +378,7 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
 	f := &activeFence{
-		seq: e.seq, pcAfter: e.pc + 1, undoMark: len(c.undoLog),
+		seq: e.seq, pcAfter: e.pc + 1,
 		module: c.weeModule, remotePS: c.weeRemote, wee: true,
 		weeID: c.weeReqID,
 	}

@@ -14,8 +14,8 @@ import (
 // handoffs keep all cores, directories and the mesh active) for
 // measuring the cycle kernel under one fence design, exporting into reg
 // (nil: metrics off).
-func kernelMachine(b *testing.B, d fence.Design, ncores int, reg *metrics.Registry) *sim.Machine {
-	b.Helper()
+func kernelMachine(tb testing.TB, d fence.Design, ncores int, reg *metrics.Registry) *sim.Machine {
+	tb.Helper()
 	al := mem.NewAllocator(dataBase)
 	weak := make([]bool, ncores)
 	for i := range weak {
@@ -24,7 +24,7 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int, reg *metrics.Regist
 	progs, _ := litmus.Bakery(al, ncores, 1<<20, weak, true)
 	m, err := sim.New(sim.Config{NCores: ncores, Design: d, Metrics: reg}, progs, mem.NewStore())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }

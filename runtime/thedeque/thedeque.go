@@ -17,9 +17,13 @@
 // ("Simulator vs. silicon") for measured-vs-predicted speedups.
 //
 // All cross-goroutine state is sync/atomic, so both variants are
-// correct under the Go memory model in every fence mode; the stress
-// tests assert exactly-once task consumption under -race in both
-// membarrier and fallback modes.
+// race-free under the Go memory model in every fence mode. Exactly-once
+// consumption also depends on the handshake's lock path: a thief that
+// rolls back a claim can leave head below the owner's claimed index,
+// which Take must treat as "two or more items" (see Take). The stress
+// tests assert exactly-once consumption under -race in both membarrier
+// and fallback modes and fail with the missing task values if a task is
+// lost; TestTakeAfterThiefRollback forces that interleaving.
 package thedeque
 
 import (
@@ -134,6 +138,14 @@ func (d *Deque) Take() (int64, bool) {
 		return 0, false
 	}
 	v := d.tasks[t&d.mask].Load()
+	if h < t {
+		// The head we saw was a thief's claim that has since been
+		// rolled back, so at least two items are present again and no
+		// thief can reach index t (thieves are locked out). Keep
+		// tail == t and leave head alone: the item at head is live.
+		d.lock.Unlock()
+		return v, true
+	}
 	// Consume under the lock and leave the canonical empty state
 	// head == tail == t+1.
 	d.head.Store(t + 1)
@@ -153,6 +165,9 @@ func (d *Deque) Steal() (int64, bool) {
 	d.thiefFence()
 	t := d.tail.Load()
 	if h >= t { // empty, or lost the race to the owner
+		if testHookStealRollback != nil {
+			testHookStealRollback()
+		}
 		d.head.Store(h)
 		d.lock.Unlock()
 		return 0, false
@@ -161,6 +176,11 @@ func (d *Deque) Steal() (int64, bool) {
 	d.lock.Unlock()
 	return v, true
 }
+
+// testHookStealRollback, when non-nil, runs in Steal between a failed
+// claim and its roll-back, with the lock held. Tests use it to force the
+// owner/thief interleavings of the lock path deterministically.
+var testHookStealRollback func()
 
 // Size returns a racy snapshot of the item count (may be momentarily
 // negative mid-handshake; clamped to 0).

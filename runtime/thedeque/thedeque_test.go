@@ -1,8 +1,8 @@
 package thedeque
 
 import (
+	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +125,7 @@ func TestStressExactlyOnce(t *testing.T) {
 func stressExactlyOnce(t *testing.T, v Variant, total int64, stealers int) {
 	d := New(128, v)
 	var consumed atomic.Int64
+	var stop atomic.Bool
 	var wg sync.WaitGroup
 	results := make([][]int64, stealers+1)
 
@@ -134,7 +135,7 @@ func stressExactlyOnce(t *testing.T, v Variant, total int64, stealers int) {
 			defer wg.Done()
 			var got []int64
 			fails := 0
-			for consumed.Load() < total {
+			for consumed.Load() < total && !stop.Load() {
 				if task, ok := d.Steal(); ok {
 					got = append(got, task)
 					consumed.Add(1)
@@ -149,7 +150,12 @@ func stressExactlyOnce(t *testing.T, v Variant, total int64, stealers int) {
 
 	var mine []int64
 	var next int64
-	for consumed.Load() < total {
+	watch := newProgressWatch()
+	for n := consumed.Load(); n < total; n = consumed.Load() {
+		if watch.stalled(n) {
+			stop.Store(true)
+			break
+		}
 		for i := 0; i < 64 && next < total; i++ {
 			if !d.Push(next + 1) {
 				break
@@ -175,24 +181,82 @@ func stressExactlyOnce(t *testing.T, v Variant, total int64, stealers int) {
 	results[0] = mine
 	wg.Wait()
 
-	var all []int64
-	for _, r := range results {
-		all = append(all, r...)
+	if stop.Load() {
+		t.Errorf("no task consumed for %v (%d of %d consumed, head %d, tail %d)",
+			stallDeadline, consumed.Load(), total, d.head.Load(), d.tail.Load())
 	}
-	if int64(len(all)) != total {
-		t.Fatalf("consumed %d tasks, want %d", len(all), total)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for i, got := range all {
-		if got != int64(i+1) {
-			t.Fatalf("consumption multiset broken at %d: got %d, want %d (lost or duplicated task)", i, got, i+1)
-		}
-	}
+	checkExactlyOnce(t, results, total)
 	if v == Asymmetric && asymruntime.Active() == asymruntime.ModeMembarrier {
 		if asymruntime.ReadStats().HeavyMembarrier == 0 {
 			t.Fatalf("asymmetric stress run issued no membarrier heavy fences")
 		}
 	}
+}
+
+// stallDeadline bounds how long an exactly-once loop may go without
+// consuming a task before the test stops it and names the missing tasks.
+// A lost task otherwise leaves the loops spinning until the go test
+// timeout, with no diagnosis.
+const stallDeadline = 10 * time.Second
+
+// progressWatch detects a consumption loop that stopped making progress.
+type progressWatch struct {
+	last int64
+	at   time.Time
+}
+
+func newProgressWatch() *progressWatch { return &progressWatch{last: -1, at: time.Now()} }
+
+// stalled reports whether the consumed count n has not moved for
+// stallDeadline.
+func (w *progressWatch) stalled(n int64) bool {
+	if n != w.last {
+		w.last, w.at = n, time.Now()
+		return false
+	}
+	return time.Since(w.at) > stallDeadline
+}
+
+// checkExactlyOnce fails the test unless the tasks consumed across all
+// results are exactly 1..total, each once, naming the missing and
+// duplicated task values.
+func checkExactlyOnce(t *testing.T, results [][]int64, total int64) {
+	t.Helper()
+	seen := make([]int, total+1)
+	var n int
+	var outside []int64
+	for _, r := range results {
+		n += len(r)
+		for _, v := range r {
+			if v < 1 || v > total {
+				outside = append(outside, v)
+				continue
+			}
+			seen[v]++
+		}
+	}
+	var missing, dup []int64
+	for v := int64(1); v <= total; v++ {
+		switch {
+		case seen[v] == 0:
+			missing = append(missing, v)
+		case seen[v] > 1:
+			dup = append(dup, v)
+		}
+	}
+	if len(missing)+len(dup)+len(outside) > 0 {
+		t.Fatalf("consumed %d tasks, want %d exactly once: missing %s; duplicated %s; out of range %s",
+			n, total, listHead(missing), listHead(dup), listHead(outside))
+	}
+}
+
+// listHead renders up to the first 20 values of vs.
+func listHead(vs []int64) string {
+	const max = 20
+	if len(vs) <= max {
+		return fmt.Sprint(vs)
+	}
+	return fmt.Sprintf("%v ... (%d in all)", vs[:max], len(vs))
 }
 
 func TestBenchSmoke(t *testing.T) {
